@@ -8,16 +8,17 @@
 //!   itself by retrying under escalating limits (`implies_retry`, factor
 //!   4) does the early rounds' work only to throw it away. How much
 //!   slower is starting tiny and escalating to a workable budget than
-//!   granting that final budget up front? The early rounds exhaust almost
-//!   immediately (that is the point of cooperative budgets), so the
-//!   overhead should be a modest constant, not a multiple.
+//!   granting that final budget up front? Saturation's chain charge
+//!   exhausts a starved round at once, but the round then pays the chase
+//!   and logic-eval fallbacks before the next escalation.
 //!
 //! * **Feature-off failpoint overhead.** `fail_point!` sites thread the
 //!   hot paths of every crate; with the `failpoints` feature disabled
 //!   (always, for benches) the macro expands to an empty block. The
 //!   `baseline` group runs the B10/B11-shaped all-pairs workload through
-//!   per-goal `implies_with` (each call pays a fresh budgeted cascade, so
-//!   every instrumented layer is on the measured path). Its numbers are
+//!   per-goal `implies_with` (each call runs the budgeted cascade over
+//!   the session's resident engine, so every instrumented query layer is
+//!   on the measured path). Its numbers are
 //!   recorded in EXPERIMENTS.md §B13 as their own drift baseline — the
 //!   acceptance bar for failpoint plumbing is <1% drift on re-runs.
 

@@ -30,8 +30,9 @@
 //! always run the counting kernel regardless of tier.
 //!
 //! **Cost.** A build materializes up to `n²` bitset cells for a table of
-//! `n` paths. That cost is charged to the engine's
-//! [`Budget`](nfd_govern::Budget) as
+//! `n` paths. That cost is charged to the [`Budget`](nfd_govern::Budget)
+//! of the query that promotes the relation (the engine's own budget for
+//! unmetered queries and analysis sweeps) as
 //! [`ResourceKind::DenseCells`](nfd_govern::ResourceKind) *before* any
 //! allocation, and the row loop polls `check_live` so a promotion cannot
 //! blow a deadline the govern layer promised.

@@ -471,6 +471,25 @@ impl RelEngine {
             fired,
             max,
             scratch,
+            None,
+        )
+    }
+
+    /// [`RelEngine::chain`] for a query under `live`: the counting kernel
+    /// polls the budget's deadline and cancellation while it chains and
+    /// stops early once the budget is dead. The result is then partial,
+    /// so the caller re-polls before using or caching it.
+    fn chain_live(&self, x: &[PathId], live: &Budget) -> PathSet {
+        let mut scratch = ChainScratch::default();
+        kernel::chain_counting(
+            &self.deps,
+            &self.index,
+            self.table.words(),
+            x,
+            None,
+            self.deps.len(),
+            &mut scratch,
+            Some(live),
         )
     }
 
@@ -792,9 +811,8 @@ impl<'s> Engine<'s> {
     /// Attaches a tier-selection layer; subsequent queries route through
     /// its cost model and promotion state instead of always running the
     /// counting kernel. Like the closure cache, the state must be scoped
-    /// to this engine's `(Σ, policy)` compilation — engine builds are
-    /// deterministic, so promotion state (including built dense closures)
-    /// carries soundly across a session's rebuilt query engines.
+    /// to this engine's `(Σ, policy)` compilation: built dense closures
+    /// are exact only for the pool they were folded from.
     pub fn with_engine_select(mut self, state: Arc<SelectState>) -> Engine<'s> {
         let mut rels = HashMap::new();
         for (name, rel) in &self.rels {
@@ -906,43 +924,70 @@ impl<'s> Engine<'s> {
     }
 
     /// [`Engine::implies`] plus whether the verdict came from the
-    /// attached closure cache — sessions surface the flag in
-    /// `Decision.cache_hits`. The failpoint and liveness poll sit ahead
-    /// of the cache lookup, so injected faults and cancellation behave
-    /// identically whether or not the closure is cached.
+    /// attached closure cache. Unmetered: the engine's own budget
+    /// supplies the deadline and cancellation token, and no chain steps
+    /// are charged.
     pub fn implies_traced(&self, goal: &Nfd) -> Result<(bool, bool), CoreError> {
-        self.implies_queried(goal).map(|(v, t)| (v, t.cache_hit))
+        self.decide(goal, &self.budget)
+            .map(|(v, t)| (v, t.cache_hit))
     }
 
-    /// [`Engine::implies`] plus the full [`QueryTrace`] — which tier
-    /// served the query (`None` when reflexivity decided it without
-    /// chaining) and whether the closure came from the cache. Sessions
-    /// surface the trace as `Decision.tier`.
-    pub fn implies_queried(&self, goal: &Nfd) -> Result<(bool, QueryTrace), CoreError> {
+    /// [`Engine::implies`] metered by a *query* budget — the read path
+    /// behind `Session::implies_with`. The saturated pool is never
+    /// touched: `budget` governs only this query. Its deadline and
+    /// cancellation are polled before and while chaining, and the
+    /// query's [`QueryTrace::chain_steps`] charge is checked against its
+    /// [`ResourceKind::ChainSteps`] limit. The charge depends on the
+    /// closure alone, so every tier and a cache hit exhaust (or answer)
+    /// identically. Returns the verdict plus the full [`QueryTrace`]:
+    /// which tier served the query (`None` when reflexivity decided it
+    /// without chaining), whether the closure came from the cache, and
+    /// the units charged.
+    pub fn implies_queried(
+        &self,
+        goal: &Nfd,
+        budget: &Budget,
+    ) -> Result<(bool, QueryTrace), CoreError> {
+        let (verdict, trace) = self.decide(goal, budget)?;
+        budget
+            .check_counter(ResourceKind::ChainSteps, trace.chain_steps)
+            .map_err(CoreError::Exhausted)?;
+        Ok((verdict, trace))
+    }
+
+    /// One implication query under `live`'s deadline and cancellation.
+    /// The failpoint and liveness poll sit ahead of the cache lookup, so
+    /// injected faults and cancellation behave identically whether or
+    /// not the closure is cached.
+    fn decide(&self, goal: &Nfd, live: &Budget) -> Result<(bool, QueryTrace), CoreError> {
         fail_point!(
             "engine::implies",
             Err(CoreError::Exhausted(nfd_govern::ResourceReport::injected())),
-            self.budget.cancel_token()
+            live.cancel_token()
         );
-        self.budget.check_live().map_err(CoreError::Exhausted)?;
+        live.check_live().map_err(CoreError::Exhausted)?;
         let (relation, lhs, rhs) = self.normalize_goal(goal)?;
         if lhs.contains(&rhs) {
-            // Reflexivity: no chaining ran, so no tier was selected.
+            // Reflexivity: no chaining ran, so no tier was selected and
+            // only the base unit is charged.
             return Ok((
                 true,
                 QueryTrace {
                     tier: None,
                     cache_hit: false,
+                    chain_steps: 1,
                 },
             ));
         }
         let rel = self.rel(relation)?;
-        let (c, trace) = self.chained_goal(rel, &lhs, Some(rhs))?;
+        let (c, trace) = self.chained_goal(rel, &lhs, live)?;
         Ok((c.contains(rhs), trace))
     }
 
-    /// Routes one closure query through the tier-selection layer. With no
-    /// layer attached this is exactly the historical path
+    /// Routes one closure query through the tier-selection layer and
+    /// prices it: the returned trace carries the serving tier, the cache
+    /// flag and the [`DepIndex::chain_charge`] of the closure. With no
+    /// layer attached the route is exactly the historical path
     /// ([`Engine::chained_indexed`], reported as [`Tier::Indexed`]).
     ///
     /// Routing order, mirroring hotness: a promoted (or forced) dense
@@ -950,31 +995,42 @@ impl<'s> Engine<'s> {
     /// cache probe, and bypassing the cache keeps dense timings
     /// insensitive to cache pressure. Otherwise the cache is consulted,
     /// then the cost model's static tier-0/1 pick (or the forced tier)
-    /// chains. `goal` enables tier 0's early exit on uncached implication
-    /// queries; early-exited closures are partial and are never cached.
+    /// chains. `live` supplies the deadline and cancellation the chaining
+    /// loops poll, and the budget a dense promotion is charged to.
     ///
     /// Every tier computes the same least fixpoint (see
     /// [`crate::dense`] and [`kernel::chain_scan`] for the arguments), so
-    /// routing can change latency but never a verdict.
+    /// routing can change latency but never a verdict or a charge.
     fn chained_goal(
         &self,
         rel: &RelEngine,
         x_ids: &[PathId],
-        goal: Option<PathId>,
+        live: &Budget,
     ) -> Result<(PathSet, QueryTrace), CoreError> {
+        let (c, tier, cache_hit) = self.route(rel, x_ids, live)?;
+        let trace = QueryTrace {
+            tier: Some(tier),
+            cache_hit,
+            chain_steps: rel.index.chain_charge(&c),
+        };
+        Ok((c, trace))
+    }
+
+    /// The tier routing behind [`Engine::chained_goal`]: the closure, the
+    /// tier that served it and whether it came from the cache.
+    fn route(
+        &self,
+        rel: &RelEngine,
+        x_ids: &[PathId],
+        live: &Budget,
+    ) -> Result<(PathSet, Tier, bool), CoreError> {
         let handle_pick = self
             .select
             .as_ref()
             .and_then(|sel| sel.rels.get(&rel.relation).map(|hp| (sel, hp)));
         let Some((sel, (handle, pick))) = handle_pick else {
-            let (c, hit) = self.chained_indexed(rel, x_ids);
-            return Ok((
-                c,
-                QueryTrace {
-                    tier: Some(Tier::Indexed),
-                    cache_hit: hit,
-                },
-            ));
+            let (c, hit) = self.chained_indexed(rel, x_ids, live)?;
+            return Ok((c, Tier::Indexed, hit));
         };
         let queries = handle.record_query();
         let preference = sel.state.preference();
@@ -983,14 +1039,8 @@ impl<'s> Engine<'s> {
             && sel.state.model().should_promote(queries)
             && !handle.dense_failed();
         if forced_dense || auto_promote {
-            if let Some(d) = self.dense_handle(rel, handle, forced_dense)? {
-                return Ok((
-                    d.closure(x_ids),
-                    QueryTrace {
-                        tier: Some(Tier::Dense),
-                        cache_hit: false,
-                    },
-                ));
+            if let Some(d) = self.dense_handle(rel, handle, forced_dense, live)? {
+                return Ok((d.closure(x_ids), Tier::Dense, false));
             }
         }
         let tier = match preference {
@@ -1001,46 +1051,19 @@ impl<'s> Engine<'s> {
             TierPreference::Auto | TierPreference::Fixed(Tier::Dense) => *pick,
         };
         if tier != Tier::Naive {
-            let (c, hit) = self.chained_indexed(rel, x_ids);
-            return Ok((
-                c,
-                QueryTrace {
-                    tier: Some(Tier::Indexed),
-                    cache_hit: hit,
-                },
-            ));
+            let (c, hit) = self.chained_indexed(rel, x_ids, live)?;
+            return Ok((c, Tier::Indexed, hit));
         }
-        let Some(cache) = &self.cache else {
-            // No cache: nothing to poison, so the scan may stop at the
-            // goal (the partial closure is dropped after the verdict).
-            let c = kernel::chain_scan(&rel.deps, rel.table.words(), x_ids, goal);
-            return Ok((
-                c,
-                QueryTrace {
-                    tier: Some(Tier::Naive),
-                    cache_hit: false,
-                },
-            ));
-        };
         let key = PathSet::from_ids(rel.table.words(), x_ids.iter().copied());
-        if let Some(hit) = cache.get(rel.relation, &key) {
-            return Ok((
-                hit,
-                QueryTrace {
-                    tier: Some(Tier::Naive),
-                    cache_hit: true,
-                },
-            ));
+        if let Some(hit) = self.cache.as_ref().and_then(|c| c.get(rel.relation, &key)) {
+            return Ok((hit, Tier::Naive, true));
         }
-        let c = kernel::chain_scan(&rel.deps, rel.table.words(), x_ids, None);
-        cache.insert(rel.relation, key, c.clone());
-        Ok((
-            c,
-            QueryTrace {
-                tier: Some(Tier::Naive),
-                cache_hit: false,
-            },
-        ))
+        let c = kernel::chain_scan(&rel.deps, rel.table.words(), x_ids, Some(live));
+        live.check_live().map_err(CoreError::Exhausted)?;
+        if let Some(cache) = &self.cache {
+            cache.insert(rel.relation, key, c.clone());
+        }
+        Ok((c, Tier::Naive, false))
     }
 
     /// The promoted dense closure for `rel`, building (and charging the
@@ -1056,11 +1079,12 @@ impl<'s> Engine<'s> {
         rel: &RelEngine,
         handle: &RelSelect,
         forced: bool,
+        budget: &Budget,
     ) -> Result<Option<Arc<DenseClosure>>, CoreError> {
         if let Some(d) = handle.dense() {
             return Ok(Some(d));
         }
-        match DenseClosure::build(&rel.table, &rel.deps, &self.budget) {
+        match DenseClosure::build(&rel.table, &rel.deps, budget) {
             Ok(d) => {
                 let d = Arc::new(d);
                 handle.set_dense(Arc::clone(&d));
@@ -1082,20 +1106,27 @@ impl<'s> Engine<'s> {
 
     /// The closure of `x_ids` through the cache when one is attached —
     /// the tier-1 path, and the engine's historical behaviour. Sound
-    /// because `C(X)` is a pure function of the saturated pool and
-    /// `X`, and chaining consumes no budget counters — a hit skips work
-    /// but can never change a verdict or a counter-limited outcome.
-    fn chained_indexed(&self, rel: &RelEngine, x_ids: &[PathId]) -> (PathSet, bool) {
-        let Some(cache) = &self.cache else {
-            return (rel.chain(x_ids, None), false);
-        };
+    /// because `C(X)` is a pure function of the saturated pool and `X`,
+    /// and the chain charge is a function of `C(X)` — a hit skips work
+    /// but can never change a verdict or a counter-limited outcome. A
+    /// chain that `live` cut short is reported as exhaustion and never
+    /// cached.
+    fn chained_indexed(
+        &self,
+        rel: &RelEngine,
+        x_ids: &[PathId],
+        live: &Budget,
+    ) -> Result<(PathSet, bool), CoreError> {
         let key = PathSet::from_ids(rel.table.words(), x_ids.iter().copied());
-        if let Some(hit) = cache.get(rel.relation, &key) {
-            return (hit, true);
+        if let Some(hit) = self.cache.as_ref().and_then(|c| c.get(rel.relation, &key)) {
+            return Ok((hit, true));
         }
-        let c = rel.chain(x_ids, None);
-        cache.insert(rel.relation, key, c.clone());
-        (c, false)
+        let c = rel.chain_live(x_ids, live);
+        live.check_live().map_err(CoreError::Exhausted)?;
+        if let Some(cache) = &self.cache {
+            cache.insert(rel.relation, key, c.clone());
+        }
+        Ok((c, false))
     }
 
     /// The closure `(x0, X, Σ)*` of Appendix A: all rooted paths `x0:q`
@@ -1138,7 +1169,7 @@ impl<'s> Engine<'s> {
         }
         x_ids.sort_unstable();
         x_ids.dedup();
-        let (mut c, trace) = self.chained_goal(rel, &x_ids, None)?;
+        let (mut c, trace) = self.chained_goal(rel, &x_ids, &self.budget)?;
         // Only paths strictly below x0 belong to the closure (q ≥ 1
         // labels relative to x0).
         if let Some(id) = prefix_id {
@@ -1171,12 +1202,12 @@ impl<'s> Engine<'s> {
         };
         match sel.state.preference() {
             TierPreference::Fixed(Tier::Dense) => {
-                self.dense_handle(rel, handle, true)?;
+                self.dense_handle(rel, handle, true, &self.budget)?;
             }
             TierPreference::Auto => {
                 let queries = sel.state.queries(rel.relation);
                 if sel.state.model().should_promote(queries) && !handle.dense_failed() {
-                    self.dense_handle(rel, handle, false)?;
+                    self.dense_handle(rel, handle, false, &self.budget)?;
                 }
             }
             TierPreference::Fixed(_) => {}

@@ -25,6 +25,7 @@
 //!   to a session so repeated implication queries and candidate-key
 //!   sweeps stop recomputing identical closures.
 
+use nfd_govern::Budget;
 use nfd_model::Label;
 use nfd_path::table::{PathId, PathSet};
 use std::collections::HashMap;
@@ -98,6 +99,33 @@ impl DepIndex {
     pub(crate) fn len(&self) -> usize {
         self.lhs_len.len()
     }
+
+    /// The [`ChainSteps`](nfd_govern::ResourceKind::ChainSteps) charge of
+    /// a query whose closure is `c`: `1 + |C| + Σ_{p ∈ C} occ(p)`, with
+    /// `occ(p)` the length of `lhs_occ[p]` — exactly the counter
+    /// decrements [`chain_counting`] performs over the whole pool. A
+    /// function of the closure alone, so every tier (and a cache hit)
+    /// charges the same units, in O(|closure|).
+    pub(crate) fn chain_charge(&self, c: &PathSet) -> u64 {
+        let occ: u64 = c
+            .iter()
+            .map(|p| self.with_lhs_containing(p).len() as u64)
+            .sum();
+        1 + c.len() as u64 + occ
+    }
+}
+
+/// Steps between liveness polls inside a query-time chaining loop.
+const LIVE_POLL_STRIDE: u32 = 4096;
+
+/// Polls `live` every [`LIVE_POLL_STRIDE`] calls: true once the budget's
+/// deadline has passed or its token was cancelled.
+fn stopped(live: Option<&Budget>, tick: &mut u32) -> bool {
+    let Some(budget) = live else {
+        return false;
+    };
+    *tick = tick.wrapping_add(1);
+    tick.is_multiple_of(LIVE_POLL_STRIDE) && budget.check_live().is_err()
 }
 
 /// A dense bitset of ready pool indices, supporting the two queries the
@@ -185,6 +213,12 @@ pub(crate) struct ChainScratch {
 /// entries exist at all. The gate is evaluated lazily — only when a
 /// counter reaches zero — because under `EmptySetPolicy::Forbidden` it
 /// always passes and per-entry-per-pass gate checks were pure waste.
+///
+/// With `live` given, the loop polls the budget's deadline and
+/// cancellation every few thousand firings and stops early once it is
+/// dead. The closure returned then is partial: callers re-poll `live`
+/// and report exhaustion instead of using (or caching) it.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn chain_counting(
     deps: &[crate::engine::CDep],
     index: &DepIndex,
@@ -193,6 +227,7 @@ pub(crate) fn chain_counting(
     mut fired: Option<&mut HashMap<PathId, usize>>,
     max: usize,
     scratch: &mut ChainScratch,
+    live: Option<&Budget>,
 ) -> PathSet {
     let x_set = PathSet::from_ids(words, x.iter().copied());
     let mut c = x_set.clone();
@@ -236,7 +271,11 @@ pub(crate) fn chain_counting(
     }
 
     let mut pos: usize = 0;
+    let mut tick: u32 = 0;
     loop {
+        if stopped(live, &mut tick) {
+            break;
+        }
         let di = match scratch.ready.next_at_or_after(pos) {
             Some(d) => d,
             None => match scratch.ready.next_at_or_after(0) {
@@ -289,27 +328,28 @@ pub(crate) fn chain_counting(
 ///   fixpoint is unchanged; only `fired` maps would differ, and this
 ///   scan never produces them (provenance always runs the counting
 ///   kernel).
-/// * **Optional early exit.** With `stop_at = Some(goal)`, the scan
-///   returns as soon as `goal` joins the closure — sound for implication
-///   queries (`goal ∈ C(X)` is monotone under continued chaining) but
-///   the returned set is *partial*, so callers must never cache it.
+/// * **Liveness.** With `live` given, the scan polls the budget like
+///   [`chain_counting`] and stops early, with a partial closure the
+///   caller must not use, once it is dead.
+///
+/// The scan always runs to the fixpoint: a query's chain charge is a
+/// function of the full closure, so it never exits early at the goal.
 pub(crate) fn chain_scan(
     deps: &[crate::engine::CDep],
     words: usize,
     x: &[PathId],
-    stop_at: Option<PathId>,
+    live: Option<&Budget>,
 ) -> PathSet {
     let x_set = PathSet::from_ids(words, x.iter().copied());
     let mut c = x_set.clone();
-    if let Some(goal) = stop_at {
-        if c.contains(goal) {
-            return c;
-        }
-    }
+    let mut tick: u32 = 0;
     let mut changed = true;
     while changed {
         changed = false;
         for d in deps {
+            if stopped(live, &mut tick) {
+                return c;
+            }
             if d.subsumed {
                 continue;
             }
@@ -323,9 +363,6 @@ pub(crate) fn chain_scan(
                 continue;
             }
             c.insert(d.rhs);
-            if stop_at == Some(d.rhs) {
-                return c;
-            }
             changed = true;
         }
     }

@@ -17,11 +17,10 @@
 //! * [`SelectState`] — shared, per-relation promotion state (query
 //!   counters, the built [`DenseClosure`](crate::dense::DenseClosure),
 //!   a demotion latch for relations whose dense build exhausted its
-//!   budget). Sessions share one `SelectState` across every query engine
-//!   rebuilt over the same `(Σ, policy)` compilation — sound for the same
-//!   reason the shared closure cache is: engine builds are deterministic,
-//!   so every rebuild saturates the identical pool and a dense closure
-//!   built against one rebuild is exact for all of them.
+//!   budget). A session attaches one `SelectState` to its resident
+//!   engine; it is scoped to one `(Σ, policy)` compilation, like the
+//!   shared closure cache, so a dense closure built once stays exact for
+//!   every later query.
 //!
 //! Promotion uses hysteresis, not oscillation: a relation is promoted
 //! after [`CostModel::promote_after`] queries, the build cost is charged
@@ -109,9 +108,10 @@ impl std::fmt::Display for TierPreference {
     }
 }
 
-/// What one routed query did: which tier served it and whether the
-/// shared closure cache answered before any chaining ran. Sessions thread
-/// this through `Decision.tier`.
+/// What one routed query did: which tier served it, whether the shared
+/// closure cache answered before any chaining ran, and what it cost.
+/// Sessions thread this through `Decision.tier` and the saturation
+/// attempt's `cost`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct QueryTrace {
     /// The tier the router selected, or `None` when no chaining was
@@ -122,6 +122,12 @@ pub struct QueryTrace {
     ///
     /// [`ClosureCache`]: crate::kernel::ClosureCache
     pub cache_hit: bool,
+    /// The [`ResourceKind::ChainSteps`](nfd_govern::ResourceKind) units
+    /// the query is charged: `1 + |C| + Σ_{p ∈ C} occ(p)` for the
+    /// closure `C`, `occ(p)` being how many pool entries have `p` in
+    /// their LHS; 1 when reflexivity answered. A function of the closure
+    /// alone, so identical on every tier, cache hit or miss.
+    pub chain_steps: u64,
 }
 
 /// The static per-relation features the cost model picks tiers from. All
@@ -256,11 +262,11 @@ impl RelSelect {
 /// routing preference, the cost model, and per-relation promotion state.
 ///
 /// A session creates one `SelectState` and attaches it (via
-/// `Engine::with_engine_select`) to its resident engine and to every
-/// query engine rebuilt over the cached tables, so promotion counters
-/// survive rebuilds — the hysteresis the tiered design needs. Like the
-/// shared [`ClosureCache`](crate::kernel::ClosureCache), the state is
-/// scoped to one compilation; `reconfigure` replaces it wholesale.
+/// `Engine::with_engine_select`) to its resident engine, where the
+/// promotion counters accumulate across queries — the hysteresis the
+/// tiered design needs. Like the shared
+/// [`ClosureCache`](crate::kernel::ClosureCache), the state is scoped to
+/// one compilation; `reconfigure` replaces it wholesale.
 #[derive(Debug)]
 pub struct SelectState {
     preference: TierPreference,

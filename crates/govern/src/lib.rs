@@ -7,9 +7,9 @@
 //! checks a [`Budget`] cooperatively and reports exhaustion as data rather
 //! than panicking or running away:
 //!
-//! * counter limits (pool entries, chase steps, chase nulls, assignment
-//!   enumerations, key candidates) bound the memory- and time-dominating
-//!   quantities of each procedure;
+//! * counter limits (pool entries, closure-chain steps, chase steps, chase
+//!   nulls, assignment enumerations, key candidates) bound the memory- and
+//!   time-dominating quantities of each procedure;
 //! * a wall-clock deadline and a shared [`CancelToken`] bound latency; the
 //!   loops poll them every few thousand iterations, so cancellation is
 //!   prompt without a per-iteration clock read;
@@ -99,6 +99,13 @@ pub enum ResourceKind {
     /// promotion time so a tier build can never blow a deadline or
     /// memory budget unnoticed.
     DenseCells,
+    /// Closure-chain steps charged by one implication query against a
+    /// saturated pool: `1 + |C| + Σ_{p ∈ C} occ(p)` for the closure `C`,
+    /// where `occ(p)` counts the pool entries whose LHS contains `p` (the
+    /// counter decrements of `nfd-core`'s indexed kernel). A function of
+    /// the closure alone, so every engine tier and a cache hit charge the
+    /// same units.
+    ChainSteps,
     /// Wall-clock deadline.
     Deadline,
     /// Explicit cancellation via a [`CancelToken`].
@@ -118,6 +125,7 @@ impl ResourceKind {
             ResourceKind::Assignments => "assignment enumerations",
             ResourceKind::KeyCandidates => "key candidates",
             ResourceKind::DenseCells => "dense closure-matrix cells",
+            ResourceKind::ChainSteps => "closure chain steps",
             ResourceKind::Deadline => "wall-clock deadline",
             ResourceKind::Cancelled => "cancellation",
             ResourceKind::Injected => "injected fault",
@@ -177,6 +185,14 @@ impl fmt::Display for ResourceReport {
 /// the legacy hard-wired limits (100 000 pool entries, 100 000 chase
 /// steps) with everything else unbounded; [`Budget::limited`] caps every
 /// counter at `n` for graceful degradation under pressure.
+///
+/// One budget shape serves two roles. As a *build* budget (session
+/// construction, snapshot thaw, Σ mutation) it governs saturation: pool
+/// growth, dense promotion, deadline and cancellation. As a *query*
+/// budget it governs what one query does against the already-saturated
+/// pool: closure-chain steps, the fallback deciders' counters, deadline
+/// and cancellation. `max_pool_deps` of a query budget only reaches the
+/// fallback deciders, which saturate privately.
 #[derive(Clone, Debug)]
 pub struct Budget {
     /// Max saturation pool entries per relation.
@@ -191,6 +207,8 @@ pub struct Budget {
     pub max_key_candidates: u64,
     /// Max dense closure-matrix cells built per tier promotion.
     pub max_dense_cells: u64,
+    /// Max closure-chain steps charged per implication query.
+    pub max_chain_steps: u64,
     deadline: Option<Instant>,
     /// The duration the deadline was configured from, kept so exhaustion
     /// reports can say *which* timeout tripped ("deadline of 50 ms
@@ -210,6 +228,7 @@ impl Budget {
             max_assignments: u64::MAX,
             max_key_candidates: u64::MAX,
             max_dense_cells: u64::MAX,
+            max_chain_steps: u64::MAX,
             deadline: None,
             timeout: None,
             cancel: CancelToken::new(),
@@ -237,6 +256,7 @@ impl Budget {
             max_assignments: n,
             max_key_candidates: n,
             max_dense_cells: n,
+            max_chain_steps: n,
             ..Budget::unlimited()
         }
     }
@@ -309,6 +329,7 @@ impl Budget {
             ResourceKind::Assignments => self.max_assignments,
             ResourceKind::KeyCandidates => self.max_key_candidates,
             ResourceKind::DenseCells => self.max_dense_cells,
+            ResourceKind::ChainSteps => self.max_chain_steps,
             ResourceKind::Deadline | ResourceKind::Cancelled | ResourceKind::Injected => u64::MAX,
         }
     }
@@ -345,6 +366,7 @@ impl Budget {
         next.max_assignments = scale(self.max_assignments);
         next.max_key_candidates = scale(self.max_key_candidates);
         next.max_dense_cells = scale(self.max_dense_cells);
+        next.max_chain_steps = scale(self.max_chain_steps);
         if let Some(t) = self.timeout {
             let ms = t.as_millis().min(u64::MAX as u128) as u64;
             return next.with_timeout(Duration::from_millis(scale(ms)));
@@ -459,6 +481,7 @@ mod tests {
         assert_eq!(b.max_pool_deps, 100_000);
         assert_eq!(b.max_chase_steps, 100_000);
         assert_eq!(b.max_assignments, u64::MAX);
+        assert_eq!(b.max_chain_steps, u64::MAX);
         assert!(b.check_live().is_ok());
     }
 
@@ -524,6 +547,7 @@ mod tests {
         let up = b.escalate(4.0); // deadline re-armed from now: 160 ms
         assert_eq!(up.max_pool_deps, 40);
         assert_eq!(up.max_chase_steps, 40);
+        assert_eq!(up.max_chain_steps, 40);
         std::thread::sleep(Duration::from_millis(60));
         assert!(b.check_live().is_err(), "original 40 ms deadline passed");
         assert!(
@@ -533,6 +557,7 @@ mod tests {
 
         // Progress from zero, saturation at the top, shared cancel token.
         assert_eq!(Budget::limited(0).escalate(4.0).max_assignments, 1);
+        assert_eq!(Budget::limited(0).escalate(4.0).max_chain_steps, 1);
         assert_eq!(Budget::unlimited().escalate(4.0).max_pool_deps, u64::MAX);
         let escalated = b.escalate(f64::NAN);
         assert_eq!(escalated.max_pool_deps, 11, "bad factors grow by one");

@@ -126,12 +126,14 @@ const USAGE: &str = "usage:
      nonempty:R:A,R:B  like pessimistic, with the listed set paths declared
                        non-empty (the paper's NON-NULL analogue)
 
-  --budget N caps every work counter (derived dependencies, chase steps &
-  nulls, assignment enumerations, key candidates) at N; --timeout-ms T adds
-  a wall-clock deadline. With neither flag generous defaults apply. An
-  exhausted budget is an honest \"don't know\", never a wrong verdict; for
-  `implies` the tool falls back saturation -> chase -> logic-eval before
-  giving up.
+  --budget N caps every work counter (derived dependencies, closure chain
+  steps, chase steps & nulls, assignment enumerations, key candidates) at
+  N; --timeout-ms T adds a wall-clock deadline. With neither flag generous
+  defaults apply. Compiling the session saturates once under the budget;
+  each `implies` goal is then charged the chain steps of its closure over
+  the saturated pool. An exhausted budget is an honest \"don't know\",
+  never a wrong verdict; for `implies` the tool falls back saturation ->
+  chase -> logic-eval before giving up.
 
   --threads N shards batch implication (--goals) and the candidate-key
   search across N worker threads sharing one budget; 0 or omitted uses all
@@ -184,9 +186,10 @@ const USAGE: &str = "usage:
   the per-request deadline. --workers N runs N concurrent read workers
   per resident tenant (IMPLIES/BATCH/CLOSURE/KEYS execute in parallel
   against the compiled session; ADDDEP/DROPDEP build the next epoch
-  aside and atomically swap it in, never blocking readers); 1 forces
-  the sequential reference mode, 0 or omitted uses all available
-  cores. Exits 0 on a clean SHUTDOWN drain.
+  aside and atomically swap it in, never blocking readers); 1 is a pool
+  of one, 0 or omitted uses all available cores. Every worker answers
+  from the tenant's resident saturated engine, and --quota charges an
+  `implies` its closure chain steps. Exits 0 on a clean SHUTDOWN drain.
 
   exit codes: 0 holds/implied · 1 fails/not implied · 2 usage or input
   error · 3 budget or deadline exhausted · 101 contained internal panic";

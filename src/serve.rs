@@ -15,16 +15,10 @@
 //!   epoch runs a pool of [`RegistryConfig::workers`] readers
 //!   (`nfd_par::scoped_workers`) draining the channel concurrently: the
 //!   session read path is `&self`, so IMPLIES/BATCH/CLOSURE/KEYS on one
-//!   hot tenant execute in parallel. At `workers == 1` the epoch serves
-//!   sequentially with a per-query engine rebuild — bit-identical to
-//!   the historical daemon, and the differential reference for the
-//!   parallel mode. At `workers >= 2` reads are served from the
-//!   *resident* compiled engine ([`Session::implies_with_resident`]),
-//!   amortizing the per-request saturation rebuild away; builds are
-//!   deterministic and query-time chaining consumes no budget counters,
-//!   so verdicts match the sequential mode (see DESIGN.md
-//!   §"Read-parallel registry" for the argument and the metered-tenant
-//!   caveat).
+//!   hot tenant execute in parallel, every one answered from the
+//!   tenant's resident saturated engine. One worker is a pool of one;
+//!   decisions are identical at every worker count (see DESIGN.md
+//!   §"Read-parallel registry").
 //! * **Epoch-swap mutation.** Write verbs (ADDDEP/DROPDEP) never touch
 //!   the serving session: under a per-tenant write gate, the registry
 //!   freezes the current epoch (an in-memory snapshot over the channel
@@ -51,8 +45,9 @@
 //!   `LOAD` from [`RegistryConfig::default_quota`], adjusted by
 //!   `QUOTA`) cap the [`Budget`] of every query; a drained quota
 //!   answers `EXHAUSTED` *before* dispatch. Queries are charged their
-//!   actual decider cost (max attempt counter, min 1), so expensive
-//!   tenants drain faster.
+//!   actual decider cost (max attempt counter, min 1): for an answer
+//!   from saturation that is the metered closure-chain steps, so
+//!   expensive goals drain a tenant faster.
 //! * **LRU residency.** At most [`RegistryConfig::max_resident`]
 //!   sessions stay warm; loading past the cap retires the
 //!   least-recently-used tenant (its epoch exits, freeing the compiled
@@ -100,11 +95,10 @@ pub struct RegistryConfig {
     pub query_budget: Option<u64>,
     /// Wall-clock deadline per `IMPLIES`/`BATCH` query (ms; 0 = none).
     pub request_timeout_ms: u64,
-    /// Concurrent read workers per resident tenant. `1` is the
-    /// sequential reference mode (per-query engine rebuild, exactly the
-    /// historical daemon); `>= 2` serves reads concurrently from the
-    /// resident compiled engine and runs `BATCH` goals at this thread
-    /// count; `0` means all available parallelism.
+    /// Concurrent read workers per resident tenant, each answering from
+    /// the tenant's resident compiled engine; `BATCH` goals run at this
+    /// thread count. `1` is a pool of one; `0` means all available
+    /// parallelism.
     pub workers: usize,
 }
 
@@ -1066,13 +1060,9 @@ fn mutate_epoch(
 }
 
 /// The reader pool every epoch runs: `workers` threads drain one shared
-/// channel until every sender is dropped. With one worker the loop runs
-/// inline on the epoch thread — exactly the historical sequential
-/// actor. Per-query panics are contained so the warm session survives a
-/// poisoned request; queries answer from the *resident* engine when the
-/// pool is parallel (`workers >= 2`) and via the historical per-query
-/// rebuild when sequential, keeping the 1-worker daemon bit-identical
-/// to its predecessor.
+/// channel until every sender is dropped, each answering from the
+/// session's resident engine. Per-query panics are contained so the warm
+/// session survives a poisoned request.
 fn epoch_loop(
     session: &Session<'_>,
     schema: &Schema,
@@ -1080,13 +1070,6 @@ fn epoch_loop(
     depth: &AtomicU64,
     rx: mpsc::Receiver<Work>,
 ) {
-    let resident = workers >= 2;
-    if !resident {
-        while let Ok(work) = rx.recv() {
-            serve_one(session, schema, work, depth, false, 1);
-        }
-        return;
-    }
     let shared_rx = Mutex::new(rx);
     nfd_par::scoped_workers(workers, |_| loop {
         // Hold the receiver lock only to take one work item; processing
@@ -1099,7 +1082,7 @@ fn epoch_loop(
             Ok(work) => work,
             Err(_) => break,
         };
-        serve_one(session, schema, work, depth, true, workers);
+        serve_one(session, schema, work, depth, workers);
     });
 }
 
@@ -1112,7 +1095,6 @@ fn serve_one(
     schema: &Schema,
     work: Work,
     depth: &AtomicU64,
-    resident: bool,
     batch_threads: usize,
 ) {
     match work {
@@ -1132,7 +1114,6 @@ fn serve_one(
                     schema,
                     request.query,
                     &request.budget,
-                    resident,
                     batch_threads,
                 )
             }))
@@ -1153,7 +1134,6 @@ fn answer(
     schema: &Schema,
     query: Query,
     budget: &Budget,
-    resident: bool,
     batch_threads: usize,
 ) -> Reply {
     match query {
@@ -1162,12 +1142,7 @@ fn answer(
                 Ok(goal) => goal,
                 Err(e) => return input_error(e),
             };
-            let decision = if resident {
-                session.implies_with_resident(&goal, budget)
-            } else {
-                session.implies_with(&goal, budget)
-            };
-            match decision {
+            match session.implies_with(&goal, budget) {
                 Ok(decision) => {
                     let cost = decision_cost(&decision);
                     Reply {
@@ -1189,12 +1164,7 @@ fn answer(
                     cost: 1,
                 };
             }
-            let batch = if resident {
-                session.implies_batch_resident(&goals, budget, batch_threads)
-            } else {
-                session.implies_batch(&goals, budget, 1)
-            };
-            match batch {
+            match session.implies_batch(&goals, budget, batch_threads) {
                 Ok(batch) => {
                     let statuses: Vec<&str> = batch
                         .decisions
@@ -1336,7 +1306,8 @@ fn mutation_reply(verb: &str, reports: &[nfd_core::DeltaReport]) -> Reply {
 }
 
 /// Work units one decision costs its tenant: the largest decider
-/// counter in the cascade log, floored at 1 so even cache hits meter.
+/// counter in the cascade log — the metered chain steps when saturation
+/// answered — floored at 1.
 fn decision_cost(decision: &crate::session::Decision) -> u64 {
     decision
         .attempts
@@ -1742,9 +1713,9 @@ mod tests {
         ));
     }
 
-    /// The differential pin for the tentpole: the parallel pool answers
-    /// every verb — reads, mutations, reads-after-mutation — with the
-    /// same wire responses the sequential daemon gives.
+    /// The parallel pool answers every verb — reads, mutations,
+    /// reads-after-mutation — with the same wire responses a pool of one
+    /// gives.
     #[test]
     fn parallel_pool_matches_the_sequential_daemon() {
         let reg = Registry::new(RegistryConfig {

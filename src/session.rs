@@ -122,8 +122,8 @@ impl Decider for Saturation {
                 Err(CoreError::Exhausted(r)) => return Ok(Verdict::Exhausted(r)),
                 Err(e) => return Err(err(e)),
             };
-        match engine.implies(goal) {
-            Ok(b) => Ok(Verdict::from_bool(b)),
+        match engine.implies_queried(goal, budget) {
+            Ok((b, _)) => Ok(Verdict::from_bool(b)),
             Err(CoreError::Exhausted(r)) => Ok(Verdict::Exhausted(r)),
             Err(e) => Err(err(e)),
         }
@@ -234,8 +234,9 @@ pub struct Attempt {
     pub decider: &'static str,
     /// What happened.
     pub outcome: AttemptOutcome,
-    /// The decider's characteristic work counter, when it finished:
-    /// derived dependencies for saturation, chase steps for the chase.
+    /// The decider's characteristic work counter, when it finished: the
+    /// closure-chain steps saturation charged (also when that charge
+    /// exhausted the budget), chase steps for the chase.
     pub cost: Option<u64>,
     /// Which retry round produced this attempt: 0 for the initial run,
     /// `n` for the `n`-th [`RetryPolicy`] retry. Always 0 outside the
@@ -469,9 +470,8 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 pub struct Session<'s> {
     schema: &'s Schema,
     engine: Engine<'s>,
-    /// Shared closure cache, consulted by the session engine and every
-    /// query engine rebuilt over the cached tables. Scoped to one
-    /// `(Σ, policy)` compilation — [`Session::reconfigure`] makes a fresh
+    /// Shared closure cache, consulted by the resident engine. Scoped to
+    /// one `(Σ, policy)` compilation — [`Session::reconfigure`] makes a fresh
     /// one — which is what makes the `(relation, LHS set, policy)` key of
     /// the cache sound without storing the policy per entry.
     cache: Arc<ClosureCache>,
@@ -483,9 +483,8 @@ pub struct Session<'s> {
     keys_memo_hits: AtomicU64,
     /// Shared tier-selection state (routing preference, cost model,
     /// per-relation promotion counters and built dense closures),
-    /// attached to the resident engine and to every rebuilt query engine
-    /// so promotion hysteresis survives per-query rebuilds. Scoped to one
-    /// `(Σ, policy)` compilation exactly like `cache`;
+    /// attached to the resident engine. Scoped to one `(Σ, policy)`
+    /// compilation exactly like `cache`;
     /// [`Session::reconfigure`] makes a fresh one.
     select: Arc<SelectState>,
     /// Latched true by [`Session::reconfigure`] on the session it
@@ -518,10 +517,18 @@ impl<'s> Session<'s> {
         Session::with_budget(schema, sigma, policy, Budget::standard())
     }
 
-    /// Compiles a session under an explicit resource [`Budget`]. The
-    /// budget governs compilation (pool growth, deadline, cancellation)
-    /// and every subsequent query served by the cached engine; running
-    /// out surfaces as [`CoreError::Exhausted`], never a wrong answer.
+    /// Compiles a session under an explicit *build* [`Budget`]. The
+    /// budget governs saturation — pool growth, deadline, cancellation —
+    /// here and in every later Σ mutation ([`Session::add_deps`],
+    /// [`Session::remove_deps`]); running out surfaces as
+    /// [`CoreError::Exhausted`], never a wrong answer. The unmetered
+    /// queries ([`Session::implies`], [`Session::closure`],
+    /// [`Session::candidate_keys`], [`Session::prove`]) observe its
+    /// deadline and cancellation token. The budgeted queries
+    /// ([`Session::implies_with`] and its batch and retry forms) take a
+    /// separate *query* budget, which meters chain steps against the
+    /// already-saturated pool; their saturation attempt never
+    /// re-saturates.
     pub fn with_budget(
         schema: &'s Schema,
         sigma: &[Nfd],
@@ -823,12 +830,19 @@ impl<'s> Session<'s> {
         self.implies(&goal)
     }
 
-    /// Decides `Σ ⊨ goal` under an explicit [`Budget`], falling back
-    /// through the decision procedures: **saturation** first (rebuilt over
-    /// the cached path tables so the query budget governs pool growth),
-    /// then the **chase**, then **logic-eval**. The first decider to
-    /// answer wins; one that exhausts its budget or panics (contained
-    /// here — the session boundary is panic-free) yields to the next.
+    /// Decides `Σ ⊨ goal` under an explicit query [`Budget`], falling
+    /// back through the decision procedures: **saturation** first
+    /// (chaining over the session's resident saturated pool), then the
+    /// **chase**, then **logic-eval**. The first decider to answer wins;
+    /// one that exhausts its budget or panics (contained here — the
+    /// session boundary is panic-free) yields to the next.
+    ///
+    /// Saturation is a compile-time cost: it ran once, under the session's
+    /// build budget, and never reruns here. `budget` governs only this
+    /// query — its deadline and cancellation token, the closure-chain
+    /// steps the saturation attempt charges
+    /// ([`ResourceKind::ChainSteps`], reported as that attempt's
+    /// [`Attempt::cost`]), and the fallback deciders' own counters.
     ///
     /// The chase and logic-eval are only sound in the no-empty-sets
     /// regime, so under any other [`EmptySetPolicy`] they are skipped
@@ -840,104 +854,23 @@ impl<'s> Session<'s> {
     /// without exhausting.
     pub fn implies_with(&self, goal: &Nfd, budget: &Budget) -> Result<Decision, CoreError> {
         goal.validate(self.schema)?;
-        let saturation = self.build_query_engine(budget);
-        self.cascade(goal, budget, saturation.as_ref())
+        self.cascade(goal, budget)
     }
 
-    /// [`Session::implies_with`] served from the session's *resident*
-    /// compiled engine instead of a per-query rebuild — the amortized
-    /// read path behind `nfdtool serve --workers N`.
-    ///
-    /// Engine builds are deterministic and query-time chaining consumes
-    /// no budget counters (a closure-chain hit skips work but can never
-    /// change a verdict or a counter-limited outcome — see
-    /// `nfd_core::Engine::implies_queried`), so serving every goal from
-    /// the one resident engine yields verdicts identical to
-    /// [`Session::implies_with`] whenever `budget`'s counters are at
-    /// least the session's build budget. The differences are exactly the
-    /// ones [`Session::closure`] and [`Session::candidate_keys`] already
-    /// accept by running on the resident engine: a *tighter* query
-    /// budget's counters cannot retroactively exhaust an
-    /// already-saturated pool, and the per-request deadline/cancellation
-    /// is honoured at the cascade layer rather than inside saturation.
+    /// Alias of [`Session::implies_with`] for existing callers; every
+    /// query serves from the resident engine.
+    #[doc(hidden)]
     pub fn implies_with_resident(
         &self,
         goal: &Nfd,
         budget: &Budget,
     ) -> Result<Decision, CoreError> {
-        goal.validate(self.schema)?;
-        let saturation = self.resident_saturation(budget);
-        self.cascade(goal, budget, saturation.as_ref().map(|e| *e))
-    }
-
-    /// The resident engine as a cascade input: alive budgets serve from
-    /// `self.engine`; a dead one (cancelled, past deadline) pre-renders
-    /// the same exhausted saturation [`Attempt`] a per-query rebuild
-    /// would have produced, so the cascade falls through identically.
-    fn resident_saturation(&self, budget: &Budget) -> Result<&Engine<'s>, Attempt> {
-        match budget.check_live() {
-            Ok(()) => Ok(&self.engine),
-            Err(r) => Err(Attempt {
-                decider: "saturation",
-                outcome: AttemptOutcome::Exhausted(r),
-                cost: None,
-                round: 0,
-            }),
-        }
-    }
-
-    /// Rebuilds the saturation engine over the session's cached path
-    /// tables under a query budget. A failure is returned as the complete
-    /// saturation [`Attempt`] it should appear as in a cascade log —
-    /// engine builds are deterministic, so one build serves a whole batch
-    /// and each goal replicates the same attempt.
-    fn build_query_engine(&self, budget: &Budget) -> Result<Engine<'s>, Attempt> {
-        match catch_unwind(AssertUnwindSafe(|| {
-            Engine::with_tables(
-                self.schema,
-                self.engine.tables().clone(),
-                &self.engine.sigma,
-                self.engine.policy().clone(),
-                budget.clone(),
-            )
-        })) {
-            // Rebuilt query engines share the session cache and tier
-            // state: builds are deterministic per (Σ, policy), so every
-            // rebuild saturates the same pool, the cached closures remain
-            // exact, and promotion counters (plus built dense closures)
-            // carry over — the hysteresis that makes promotion stick.
-            Ok(Ok(engine)) => Ok(engine
-                .with_closure_cache(Arc::clone(&self.cache))
-                .with_engine_select(Arc::clone(&self.select))),
-            Ok(Err(CoreError::Exhausted(r))) => Err(Attempt {
-                decider: "saturation",
-                outcome: AttemptOutcome::Exhausted(r),
-                cost: None,
-                round: 0,
-            }),
-            Ok(Err(e)) => Err(Attempt {
-                decider: "saturation",
-                outcome: AttemptOutcome::Failed(e.to_string()),
-                cost: None,
-                round: 0,
-            }),
-            Err(payload) => Err(Attempt {
-                decider: "saturation",
-                outcome: AttemptOutcome::Failed(format!("panicked: {}", panic_message(payload))),
-                cost: None,
-                round: 0,
-            }),
-        }
+        self.implies_with(goal, budget)
     }
 
     /// The decider cascade for one (already validated) goal: saturation
-    /// over the prebuilt query engine, then the chase, then logic-eval.
-    fn cascade(
-        &self,
-        goal: &Nfd,
-        budget: &Budget,
-        saturation: Result<&Engine<'s>, &Attempt>,
-    ) -> Result<Decision, CoreError> {
+    /// over the resident engine, then the chase, then logic-eval.
+    fn cascade(&self, goal: &Nfd, budget: &Budget) -> Result<Decision, CoreError> {
         let forbidden = *self.engine.policy() == EmptySetPolicy::Forbidden;
         let mut attempts: Vec<Attempt> = Vec::new();
         // Closure-cache hits and the serving tier observed by this
@@ -987,32 +920,31 @@ impl<'s> Session<'s> {
             }
         };
 
-        // 1. Saturation, re-governed by the query budget but reusing the
-        //    session's interned path tables. The engine was prebuilt (and
-        //    build failures pre-rendered) by `build_query_engine`.
-        attempts.push(match saturation {
-            Ok(engine) => run("saturation", &mut || {
-                fail_point!(
-                    "session::cascade_saturation",
-                    Ok((Verdict::Exhausted(ResourceReport::injected()), None)),
-                    budget.cancel_token()
-                );
-                match engine.implies_queried(goal) {
-                    Ok((b, trace)) => {
-                        if trace.cache_hit {
-                            cache_hits.set(cache_hits.get() + 1);
-                        }
-                        tier.set(trace.tier);
-                        Ok((Verdict::from_bool(b), Some(engine.pool_size() as u64)))
+        // 1. Saturation: chaining over the resident saturated pool,
+        //    metered by the query budget. The cost is the chain charge —
+        //    history-free, so it is the same on every tier, cache hit or
+        //    miss, and at every batch thread count.
+        attempts.push(run("saturation", &mut || {
+            fail_point!(
+                "session::cascade_saturation",
+                Ok((Verdict::Exhausted(ResourceReport::injected()), None)),
+                budget.cancel_token()
+            );
+            match self.engine.implies_queried(goal, budget) {
+                Ok((b, trace)) => {
+                    if trace.cache_hit {
+                        cache_hits.set(cache_hits.get() + 1);
                     }
-                    Err(CoreError::Exhausted(r)) => {
-                        Ok((Verdict::Exhausted(r), Some(engine.pool_size() as u64)))
-                    }
-                    Err(e) => Err(e.to_string()),
+                    tier.set(trace.tier);
+                    Ok((Verdict::from_bool(b), Some(trace.chain_steps)))
                 }
-            }),
-            Err(attempt) => (*attempt).clone(),
-        });
+                Err(CoreError::Exhausted(r)) => {
+                    let cost = (r.kind == ResourceKind::ChainSteps).then_some(r.used);
+                    Ok((Verdict::Exhausted(r), cost))
+                }
+                Err(e) => Err(e.to_string()),
+            }
+        }));
 
         // 2 & 3. The independent deciders, as fallbacks.
         if !matches!(
@@ -1103,18 +1035,17 @@ impl<'s> Session<'s> {
         }
     }
 
-    /// Decides a whole batch of goals under one shared [`Budget`],
+    /// Decides a whole batch of goals under one shared query [`Budget`],
     /// sharded across `threads` workers (`0` = all available
     /// parallelism).
     ///
-    /// The workers share this session's compiled tables and a single
-    /// prebuilt query engine (builds are deterministic, so sharing one is
-    /// indistinguishable from [`Session::implies_with`]'s per-goal
-    /// rebuild). The budget's counters and deadline govern every worker;
-    /// the pool additionally derives a [child cancellation
-    /// token](nfd_govern::CancelToken::child) from the caller's, so the
-    /// first goal to *genuinely* exhaust the budget stops the whole pool
-    /// within one poll window without disturbing the caller's token.
+    /// The workers share this session's resident engine, exactly as
+    /// [`Session::implies_with`] does. The budget's counters and deadline
+    /// govern every worker; the pool additionally derives a [child
+    /// cancellation token](nfd_govern::CancelToken::child) from the
+    /// caller's, so the first goal to *genuinely* exhaust the budget
+    /// stops the whole pool within one poll window without disturbing
+    /// the caller's token.
     ///
     /// The result is identical at every thread count (and to a sequential
     /// `implies_with` loop) for counter-limited budgets:
@@ -1137,33 +1068,6 @@ impl<'s> Session<'s> {
         budget: &Budget,
         threads: usize,
     ) -> Result<BatchDecision, CoreError> {
-        self.implies_batch_impl(goals, budget, threads, false)
-    }
-
-    /// [`Session::implies_batch`] served from the session's *resident*
-    /// compiled engine — the batch form of
-    /// [`Session::implies_with_resident`], with the same equivalence
-    /// argument and the same caveats (a tighter query budget's counters
-    /// do not re-govern the already-saturated pool; deadlines and
-    /// cancellation are honoured at the cascade layer). The batch
-    /// normalization contract (deterministic cutoff, taint re-runs) is
-    /// identical; re-runs also serve from the resident engine.
-    pub fn implies_batch_resident(
-        &self,
-        goals: &[Nfd],
-        budget: &Budget,
-        threads: usize,
-    ) -> Result<BatchDecision, CoreError> {
-        self.implies_batch_impl(goals, budget, threads, true)
-    }
-
-    fn implies_batch_impl(
-        &self,
-        goals: &[Nfd],
-        budget: &Budget,
-        threads: usize,
-        resident: bool,
-    ) -> Result<BatchDecision, CoreError> {
         // Validate everything up front so input errors are deterministic
         // (always the lowest offending index) regardless of scheduling.
         for goal in goals {
@@ -1175,15 +1079,6 @@ impl<'s> Session<'s> {
         // the caller.
         let pool_token = budget.cancel_token().child();
         let worker_budget = budget.clone().with_cancel(pool_token.clone());
-        let built;
-        let resident_sat;
-        let saturation: Result<&Engine<'s>, &Attempt> = if resident {
-            resident_sat = self.resident_saturation(&worker_budget);
-            resident_sat.as_ref().map(|e| *e)
-        } else {
-            built = self.build_query_engine(&worker_budget);
-            built.as_ref()
-        };
 
         let pool = || {
             nfd_par::map_indexed_while(
@@ -1200,7 +1095,7 @@ impl<'s> Session<'s> {
                             Err(CoreError::Exhausted(ResourceReport::injected())),
                             worker_budget.cancel_token()
                         );
-                        self.cascade(&goals[i], &worker_budget, saturation)
+                        self.cascade(&goals[i], &worker_budget)
                     }))
                     .unwrap_or_else(|p| {
                         Err(CoreError::Internal(format!(
@@ -1250,7 +1145,6 @@ impl<'s> Session<'s> {
                         AttemptOutcome::Exhausted(r) if r.kind == ResourceKind::Cancelled)
                 })
         };
-        let mut rerun_saturation: Option<Result<Engine<'s>, Attempt>> = None;
         let mut decisions: Vec<Result<Decision, CoreError>> = Vec::with_capacity(goals.len());
         let mut first_exhausted: Option<usize> = None;
         for (i, slot) in raw.into_iter().enumerate() {
@@ -1265,18 +1159,8 @@ impl<'s> Session<'s> {
                 Some(Err(e)) => Err(e),
                 // Tainted by the pool stop, or never dispatched: re-run
                 // under the caller's budget, exactly as a sequential
-                // sweep would have run it. Builds are deterministic, so
-                // one re-run engine serves every re-run goal.
-                _ => {
-                    if resident {
-                        let sat = self.resident_saturation(budget);
-                        self.cascade(&goals[i], budget, sat.as_ref().map(|e| *e))
-                    } else {
-                        let saturation =
-                            rerun_saturation.get_or_insert_with(|| self.build_query_engine(budget));
-                        self.cascade(&goals[i], budget, saturation.as_ref())
-                    }
-                }
+                // sweep would have run it.
+                _ => self.cascade(&goals[i], budget),
             };
             // Post-normalization, an Exhausted verdict is genuine: a
             // cancellation report here means the caller's own token.
@@ -1289,6 +1173,18 @@ impl<'s> Session<'s> {
             decisions,
             first_exhausted,
         })
+    }
+
+    /// Alias of [`Session::implies_batch`] for existing callers; every
+    /// batch serves from the resident engine.
+    #[doc(hidden)]
+    pub fn implies_batch_resident(
+        &self,
+        goals: &[Nfd],
+        budget: &Budget,
+        threads: usize,
+    ) -> Result<BatchDecision, CoreError> {
+        self.implies_batch(goals, budget, threads)
     }
 
     /// [`Session::implies_with`], retried under escalating budgets when
@@ -1663,6 +1559,8 @@ mod tests {
         .iter()
         .map(|t| Nfd::parse(&schema, t).unwrap())
         .collect();
+        // One chain step is below goal 0's chain charge against the
+        // resident pool, and one unit starves both fallbacks too.
         let budget = Budget::limited(1);
         let reference = s.implies_batch(&goals, &budget, 1).unwrap();
         assert!(
@@ -1670,6 +1568,10 @@ mod tests {
             "a budget of 1 must starve the cascade"
         );
         assert_eq!(reference.first_exhausted, Some(0));
+        assert!(matches!(
+            &reference.decisions[0].as_ref().unwrap().attempts[0].outcome,
+            AttemptOutcome::Exhausted(r) if r.kind == ResourceKind::ChainSteps
+        ));
         for threads in [2, 8] {
             let batch = s.implies_batch(&goals, &budget, threads).unwrap();
             assert_eq!(batch, reference, "threads = {threads}");

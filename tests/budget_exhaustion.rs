@@ -112,7 +112,9 @@ fn tiny_budgets_never_give_wrong_verdicts() {
 
 /// When saturation is starved but the independent deciders are not, the
 /// cascade falls through and still produces the right answer — and the
-/// attempt log records the fallback.
+/// attempt log records the fallback. A query never re-saturates, so the
+/// starved counter is the chain steps the saturation attempt charges
+/// against the resident pool.
 #[test]
 fn cascade_falls_back_when_saturation_is_starved() {
     let (schema, sigma) = course();
@@ -121,7 +123,7 @@ fn cascade_falls_back_when_saturation_is_starved() {
     let truth = session.implies(&goal).unwrap();
 
     let mut starved = Budget::unlimited();
-    starved.max_pool_deps = 1; // cannot even hold Σ
+    starved.max_chain_steps = 1; // below any non-reflexive chain charge
     let decision = session.implies_with(&goal, &starved).unwrap();
     assert_eq!(decision.verdict.as_bool(), Some(truth));
     let by = decision.answered_by().unwrap();
@@ -129,7 +131,7 @@ fn cascade_falls_back_when_saturation_is_starved() {
     assert!(
         matches!(
             decision.attempts[0].outcome,
-            AttemptOutcome::Exhausted(ref r) if r.kind == ResourceKind::PoolDeps
+            AttemptOutcome::Exhausted(ref r) if r.kind == ResourceKind::ChainSteps
         ),
         "first attempt should record saturation's exhaustion: {:?}",
         decision.attempts[0]
@@ -145,7 +147,7 @@ fn fallbacks_are_skipped_under_non_strict_policies() {
     let goal = Nfd::parse(&schema, "Course:[cnum -> time]").unwrap();
 
     let mut starved = Budget::unlimited();
-    starved.max_pool_deps = 1;
+    starved.max_chain_steps = 1;
     let decision = session.implies_with(&goal, &starved).unwrap();
     assert!(decision.verdict.is_exhausted());
     for a in &decision.attempts[1..] {
@@ -321,7 +323,9 @@ fn zero_timeout_exhausts_immediately_with_a_coherent_report() {
 }
 
 /// Regression: zero-limit counters trip on the *first* unit of work with
-/// `used > limit` in the report, never a wrap-around or a free pass.
+/// `used > limit` in the report, never a wrap-around or a free pass. The
+/// first counter a query meets is saturation's chain charge (at least
+/// one unit), so that is the report the verdict carries.
 #[test]
 fn zero_limit_counters_trip_coherently() {
     let (schema, sigma) = course();
@@ -331,6 +335,7 @@ fn zero_limit_counters_trip_coherently() {
     let decision = session.implies_with(&goal, &Budget::limited(0)).unwrap();
     match &decision.verdict {
         Verdict::Exhausted(r) => {
+            assert_eq!(r.kind, ResourceKind::ChainSteps);
             assert_eq!(r.limit, 0);
             assert!(r.used > r.limit, "used ({}) must exceed limit 0", r.used);
         }
@@ -349,8 +354,9 @@ fn retry_escalation_heals_a_starved_budget() {
     let goal = Nfd::parse(&schema, "Course:[time -> cnum]").unwrap();
     let truth = session.implies(&goal).unwrap();
 
-    // Budget 1 starves every decider; factor 10 needs only a few rounds
-    // to reach the few hundred pool entries the Course schema wants.
+    // Budget 1 starves every decider (saturation's chain charge included);
+    // factor 10 needs only a few rounds to cover the goal's chain charge
+    // against the resident pool.
     let starved = Budget::limited(1);
     assert!(session
         .implies_with(&goal, &starved)
@@ -377,7 +383,8 @@ fn retry_escalation_heals_a_starved_budget() {
         .any(|a| a.round == 0 && matches!(a.outcome, AttemptOutcome::Exhausted(_))));
 }
 
-/// Batch retry heals a genuinely starved batch: the first goal exhausts,
+/// Batch retry heals a genuinely starved batch: the first goal exhausts
+/// (one unit is below every chain charge and starves both fallbacks),
 /// the rest are batch-cancelled, and the retry pass re-runs them all —
 /// cancelled goals from the base budget, the exhausted one escalated.
 #[test]

@@ -489,7 +489,8 @@ fn cancellation_is_never_retried() {
     let session = Session::new(&schema, &sigma).unwrap();
 
     // `Cancel` at the saturation cascade site cancels the query budget's
-    // token; the cascade honours it, and the retry loop must stop
+    // token; the resident engine's query path polls that token before it
+    // chains, the fallbacks honour it too, and the retry loop must stop
     // immediately rather than spin against a cancelled token.
     faults::configure("session::cascade_saturation", FaultAction::Cancel);
     let policy = RetryPolicy::new(5);

@@ -147,9 +147,10 @@ fn first_exhaustion_stops_the_whole_pool_promptly() {
     let goals: Vec<Nfd> = (0..12)
         .map(|i| Nfd::parse(&schema, &format!("R:[a{i} -> a{}]", i + 40)).unwrap())
         .collect();
-    // A cap of 100 starves all three deciders on this chain (saturation
-    // needs 2016 pool entries, the chase >100 assignments, logic-eval the
-    // same pool); 500 would let the chase answer.
+    // A cap of 100 starves all three deciders on this chain (each goal's
+    // closure chain charges over 1 000 steps against the resident pool,
+    // the chase needs >100 assignments, logic-eval's private build 2016
+    // pool entries); 500 would let the chase answer.
     let starved = Budget::limited(100);
     let t = Instant::now();
     let batch = session.implies_batch(&goals, &starved, 8).unwrap();
@@ -163,8 +164,8 @@ fn first_exhaustion_stops_the_whole_pool_promptly() {
             .all(|d| matches!(d, Ok(d) if d.verdict.is_exhausted())),
         "every goal is honestly exhausted, never mis-answered"
     );
-    // Generous 2× headroom: the starved batch does a few thousand work
-    // units against the chain's ~170k-pair full saturation.
+    // The starved batch does a few thousand work units against the
+    // chain's ~170k-pair full saturation.
     assert!(
         starved_time < full_time,
         "a starved batch ({starved_time:?}) must not redo the full \
@@ -174,11 +175,13 @@ fn first_exhaustion_stops_the_whole_pool_promptly() {
 
 #[test]
 fn external_cancellation_preempts_a_heavy_batch() {
-    // Calibrate the workload so the uncancelled batch would take at least
-    // ~400ms on this machine, then cancel early and require the batch to
-    // return well before the full work completes. The ladder reaches well
-    // past n=200 because the indexed saturation kernel builds chains far
-    // faster than the old all-pairs scan did.
+    // Queries answer from the resident saturated pool, so the heavy work
+    // a caller can cancel is the session build. Calibrate the workload so
+    // the uncancelled build takes at least ~400ms on this machine, then
+    // cancel early and require the build to return well before the full
+    // work completes. The ladder reaches well past n=200 because the
+    // indexed saturation kernel builds chains far faster than the old
+    // all-pairs scan did.
     let mut calibrated = None;
     for n in [100usize, 140, 200, 280, 400, 560, 800] {
         let (schema, sigma) = chain_problem(n);
@@ -194,7 +197,6 @@ fn external_cancellation_preempts_a_heavy_batch() {
     let Some((schema, sigma, full_time)) = calibrated else {
         panic!("even the largest chain saturates in <400ms; grow the calibration sizes");
     };
-    let session = Session::new(&schema, &sigma).unwrap();
     let goals: Vec<Nfd> = (0..8)
         .map(|i| Nfd::parse(&schema, &format!("R:[a{i} -> a{}]", i + 50)).unwrap())
         .collect();
@@ -208,24 +210,35 @@ fn external_cancellation_preempts_a_heavy_batch() {
             std::thread::sleep(delay);
             token.cancel();
         });
-        // The batch re-saturates under the worker budget (≈ full_time of
-        // work); the cancel lands mid-build and must preempt it.
-        let batch = session.implies_batch(&goals, &budget, 8).unwrap();
+        // The build saturates under the cancellable budget (≈ full_time
+        // of work); the cancel lands mid-build and must preempt it.
+        let built =
+            Session::with_budget(&schema, &sigma, EmptySetPolicy::Forbidden, budget.clone());
         let elapsed = t.elapsed();
-        assert!(
-            batch
-                .decisions
-                .iter()
-                .all(|d| matches!(d, Ok(d) if d.verdict.is_exhausted())),
-            "a cancelled batch reports exhaustion, never a made-up verdict"
-        );
-        assert_eq!(batch.first_exhausted, Some(0));
+        match built {
+            Err(CoreError::Exhausted(r)) => assert_eq!(r.kind, ResourceKind::Cancelled),
+            Ok(_) => panic!("a build cancelled after {delay:?} of ≈{full_time:?} finished"),
+            Err(e) => panic!("expected cancellation, got {e}"),
+        }
         assert!(
             elapsed < full_time / 2 + delay,
             "cancellation after {delay:?} must preempt the ≈{full_time:?} build, \
              took {elapsed:?}"
         );
     });
+
+    // The same cancelled budget, handed to a batch over a session built
+    // without it, refuses every goal.
+    let session = Session::new(&schema, &sigma).unwrap();
+    let batch = session.implies_batch(&goals, &budget, 8).unwrap();
+    assert!(
+        batch
+            .decisions
+            .iter()
+            .all(|d| matches!(d, Ok(d) if d.verdict.is_exhausted())),
+        "a cancelled batch reports exhaustion, never a made-up verdict"
+    );
+    assert_eq!(batch.first_exhausted, Some(0));
 }
 
 #[test]

@@ -351,12 +351,35 @@ fn singleton_conclusions_pinned_on_appendix_a_examples() {
     );
 }
 
+/// The closure-chain charge of a non-reflexive goal, recomputed from the
+/// naive oracle: `1 + |C| + Σ_{p ∈ C} occ(p)`, with `C` the oracle's
+/// closure and `occ(p)` the number of oracle pool entries (subsumed ones
+/// included) whose LHS contains `p`.
+fn oracle_chain_charge(naive: &NaiveEngine, goal: &Nfd) -> u64 {
+    let (_, closure, _) = naive.chain_dump(goal).unwrap();
+    let dump = naive.pool_dump();
+    let (_, entries) = dump
+        .iter()
+        .find(|(rel, _)| *rel == goal.base.relation.to_string())
+        .expect("the goal's relation has a pool");
+    let occ: usize = closure
+        .iter()
+        .map(|p| entries.iter().filter(|e| e.lhs.contains(p)).count())
+        .sum();
+    (1 + closure.len() + occ) as u64
+}
+
 /// Every engine tier against the naive oracle: forced naive-scan, forced
 /// indexed, forced dense and the auto router all return bit-identical
 /// verdicts, closures and candidate keys (at thread counts 1/2/8), under
 /// both empty-set policies. The saturated pool — the provenance store
 /// proofs replay against — is shared by all tiers, so pool equality here
 /// extends the bit-identical guarantee to certificates.
+///
+/// The saturation attempt's cost — the metered chain charge — is pinned
+/// too: it equals the oracle's charge under every preference, on a cache
+/// miss and on the repeated (cache-hit) query, and in batches at thread
+/// counts 1/2/8.
 #[test]
 fn tier_differential_sweep() {
     let prefs = [
@@ -365,6 +388,7 @@ fn tier_differential_sweep() {
         TierPreference::Fixed(Tier::Indexed),
         TierPreference::Fixed(Tier::Dense),
     ];
+    let (mut misses, mut hits) = (0usize, 0usize);
     for seed in 0..12u64 {
         for policy in [EmptySetPolicy::Forbidden, EmptySetPolicy::pessimistic()] {
             let schema = random_schema(seed, SchemaShape::default());
@@ -407,11 +431,41 @@ fn tier_differential_sweep() {
             let goals: Vec<Nfd> = (0..GOALS_PER_SEED)
                 .filter_map(|_| random_nfd(&mut rng, &schema))
                 .collect();
+            let mut want_charges: Vec<Option<u64>> = Vec::with_capacity(goals.len());
             for goal in &goals {
                 let expected = naive.implies(goal).unwrap();
                 let want_closure = naive.closure(&goal.base, goal.lhs()).unwrap();
+                let mut want_charge = None;
                 for (pref, s) in &sessions {
                     let d = s.implies_with(goal, &Budget::standard()).unwrap();
+                    // Reflexivity answers without chaining and charges
+                    // the base unit; everything else the oracle's charge.
+                    let charge = if d.tier.is_none() {
+                        1
+                    } else {
+                        oracle_chain_charge(&naive, goal)
+                    };
+                    let charge = *want_charge.get_or_insert(charge);
+                    assert_eq!(
+                        d.attempts[0].cost,
+                        Some(charge),
+                        "chain charge diverged at seed {seed} under {pref} on `{goal}`"
+                    );
+                    let again = s.implies_with(goal, &Budget::standard()).unwrap();
+                    assert_eq!(
+                        again.attempts[0].cost,
+                        Some(charge),
+                        "repeated query charged differently at seed {seed} under {pref} on `{goal}`"
+                    );
+                    if d.tier.is_some_and(|t| t != Tier::Dense) {
+                        if d.cache_hits == 0 {
+                            misses += 1;
+                        }
+                        if again.tier != Some(Tier::Dense) {
+                            assert_eq!(again.cache_hits, 1, "a repeated tier-0/1 query hits");
+                            hits += 1;
+                        }
+                    }
                     assert_eq!(
                         expected,
                         verdict_bool(&d.verdict),
@@ -432,6 +486,26 @@ fn tier_differential_sweep() {
                         "closure diverged at seed {seed} under {pref} on `{goal}`"
                     );
                 }
+                want_charges.push(want_charge);
+            }
+
+            // Batches charge every goal exactly as the sequential queries
+            // did, whatever the tier and the thread count.
+            for (pref, s) in &sessions {
+                for threads in [1usize, 2, 8] {
+                    let batch = s
+                        .implies_batch(&goals, &Budget::standard(), threads)
+                        .unwrap();
+                    let charges: Vec<Option<u64>> = batch
+                        .decisions
+                        .iter()
+                        .map(|d| d.as_ref().unwrap().attempts[0].cost)
+                        .collect();
+                    assert_eq!(
+                        charges, want_charges,
+                        "batch charges diverged at seed {seed} under {pref}, {threads} threads"
+                    );
+                }
             }
 
             // Candidate keys route the analysis sweep through the same
@@ -448,6 +522,10 @@ fn tier_differential_sweep() {
             }
         }
     }
+    assert!(
+        misses > 0 && hits > 0,
+        "the sweep charged both cache misses ({misses}) and hits ({hits})"
+    );
 }
 
 /// The promotion boundary: under `TierPreference::Auto` a hot relation is

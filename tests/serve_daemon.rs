@@ -235,6 +235,71 @@ fn tenant_quotas_meter_exhaust_and_recover() {
     server.join().expect("server");
 }
 
+/// Quotas charge real work: one `IMPLIES` answered by saturation lowers
+/// the tenant's quota by exactly the saturation attempt's cost — the
+/// metered closure-chain steps — that an in-process
+/// `Session::implies_with` reports for the same goal. The wire cannot
+/// read a quota back, so the test brackets it: a quota of exactly that
+/// cost is drained to zero by one query (the next is denied), one unit
+/// more leaves the next query admitted.
+#[test]
+fn implies_charges_the_quota_its_chain_steps() {
+    let (schema_src, deps_src) = course_sources();
+    let schema = Schema::parse(&schema_src).expect("schema parses");
+    let sigma = nfd::core::nfd::parse_set(&schema, &deps_src).expect("deps parse");
+    let direct = Session::new(&schema, &sigma).expect("direct session");
+    let text = "Course:[time, students:sid -> books]";
+    let goal = Nfd::parse(&schema, text).expect("goal parses");
+    let decision = direct
+        .implies_with(&goal, &Budget::standard())
+        .expect("direct decision");
+    assert_eq!(decision.answered_by(), Some("saturation"));
+    let cost = decision.attempts[0]
+        .cost
+        .expect("saturation reports its cost");
+    assert!(cost > 1, "a chained goal costs more than the floor: {cost}");
+
+    let (addr, server) = start(RegistryConfig::default(), quick_server_cfg());
+    let mut c = Client::connect(addr);
+    assert_eq!(
+        c.ask(&format!("LOAD course {schema_src} | {deps_src}")),
+        "OK loaded deps=7"
+    );
+    let query = format!("IMPLIES course {text}");
+
+    assert_eq!(
+        c.ask(&format!("QUOTA course {cost}")),
+        format!("OK quota={cost}")
+    );
+    assert_eq!(
+        c.ask(&query),
+        "OK implied",
+        "a quota of exactly the cost admits it"
+    );
+    let denied = c.ask(&query);
+    assert!(
+        denied.starts_with("EXHAUSTED") && denied.contains("quota exhausted"),
+        "one query drained a quota of {cost}: {denied}"
+    );
+
+    let more = cost + 1;
+    assert_eq!(
+        c.ask(&format!("QUOTA course {more}")),
+        format!("OK quota={more}")
+    );
+    assert_eq!(c.ask(&query), "OK implied");
+    let next = c.ask(&query);
+    assert!(
+        !next.contains("quota exhausted"),
+        "one unit must remain after a query costing {cost}: {next}"
+    );
+    let stats = c.ask("STATS");
+    assert!(stats.contains("quota_denials=1"), "{stats}");
+
+    assert_eq!(c.ask("SHUTDOWN"), "OK draining");
+    server.join().expect("server");
+}
+
 #[test]
 fn lru_keeps_hot_tenants_resident() {
     let (schema_src, deps_src) = course_sources();

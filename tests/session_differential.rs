@@ -18,6 +18,7 @@ use nfd::chase;
 use nfd::core::engine::Engine;
 use nfd::core::nfd::parse_set;
 use nfd::core::{EmptySetPolicy, Nfd};
+use nfd::govern::Budget;
 use nfd::model::{Label, Schema};
 use nfd::path::{Path, RootedPath};
 use nfd::session::{all_deciders, Session};
@@ -226,6 +227,71 @@ fn decider_panel_agrees_on_random_schemas() {
                 verdicts.windows(2).all(|w| w[0].1 == w[1].1),
                 "deciders disagree (seed {seed}) on {goal}: {verdicts:?}\nΣ = {sigma:?}"
             );
+        }
+    }
+}
+
+/// A query never saturates: saturation ran once, under the session's
+/// build budget, so a query budget that admits no pool entry at all still
+/// gets every goal of the corpus — the Course goals of the paper plus
+/// random nested schemas — answered by `saturation`, with the unmetered
+/// verdict, and `implies_with` equals `implies_with_resident`.
+#[test]
+fn a_query_never_saturates() {
+    let mut no_pool = Budget::standard();
+    no_pool.max_pool_deps = 0;
+    let check = |session: &Session, goal: &Nfd, what: &str| {
+        let d = session.implies_with(goal, &no_pool).unwrap();
+        assert_eq!(
+            d.answered_by(),
+            Some("saturation"),
+            "{what}: `{goal}` fell back: {:?}",
+            d.attempts
+        );
+        assert_eq!(
+            d.verdict.as_bool(),
+            Some(session.implies(goal).unwrap()),
+            "{what}: `{goal}`"
+        );
+        assert_eq!(
+            d,
+            session.implies_with_resident(goal, &no_pool).unwrap(),
+            "{what}: `{goal}`"
+        );
+    };
+
+    let schema = course_schema();
+    let sigma = course_sigma(&schema);
+    let session = Session::new(&schema, &sigma).unwrap();
+    for text in [
+        "Course:[time, students:sid -> books]",
+        "Course:[cnum -> students:age]",
+        "Course:[time -> cnum]",
+        "Course:[books:title -> books:isbn]",
+        "Course:[cnum -> time]",
+        "Course:[students:sid -> students:age]",
+        "Course:students:[sid -> grade]",
+        "Course:[time, students:sid -> cnum]",
+    ] {
+        check(&session, &Nfd::parse(&schema, text).unwrap(), "course");
+    }
+
+    for seed in 0..40 {
+        let schema = random_schema(
+            seed,
+            SchemaShape {
+                max_depth: 2,
+                fields: (2, 3),
+                set_prob: 0.5,
+            },
+        );
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x0B0D);
+        let sigma = random_sigma(&mut rng, &schema, 3);
+        let session = Session::new(&schema, &sigma).unwrap();
+        for _ in 0..6 {
+            if let Some(goal) = random_nfd(&mut rng, &schema) {
+                check(&session, &goal, &format!("seed {seed}"));
+            }
         }
     }
 }
